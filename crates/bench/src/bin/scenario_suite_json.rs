@@ -72,12 +72,14 @@ fn main() {
     let wall_a = t0.elapsed().as_secs_f64();
     eprintln!(
         "run A: {} served, {} invalid meshes, {} generation failures, {} shed, {} degraded, \
-         {} carve retries ({wall_a:.1}s)",
+         {} escalated ({} to the BiCGStab rung), {} carve retries ({wall_a:.1}s)",
         run_a.records.len(),
         run_a.invalid_meshes,
         run_a.generation_failures,
         run_a.shed_jobs,
         run_a.degraded,
+        run_a.escalated,
+        run_a.bicgstab_rungs,
         run_a.carve_retries
     );
 
@@ -122,6 +124,8 @@ fn main() {
         .with("generation_failures", run_a.generation_failures.into())
         .with("shed_jobs", run_a.shed_jobs.into())
         .with("degraded", run_a.degraded.into())
+        .with("escalated", run_a.escalated.into())
+        .with("bicgstab_rungs", run_a.bicgstab_rungs.into())
         .with("carve_retries", run_a.carve_retries.into())
         .with("script_bytes", run_a.script.len().into())
         .with("script_deterministic", (run_a.script == run_b.script).into())

@@ -8,6 +8,7 @@
 //! scan's displacement field is carried forward.
 
 use brainshift_fem::FemError;
+use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_mesh::MeshError;
 use brainshift_segment::SegmentError;
 use brainshift_sparse::SparseError;
@@ -26,6 +27,27 @@ pub enum Error {
     Segment(SegmentError),
     /// A pipeline-level invariant was violated (with a description).
     Pipeline(String),
+    /// An intraoperative scan is not on the voxel grid of the reference
+    /// scan the surgery was prepared from: its dimensions or spacing
+    /// differ, so the per-surgery feature channels and mesh do not line
+    /// up with it.
+    ScanGridMismatch {
+        /// Reference grid dimensions.
+        expected_dims: Dims,
+        /// Reference voxel spacing (mm).
+        expected_spacing: Spacing,
+        /// Dimensions of the rejected scan.
+        got_dims: Dims,
+        /// Voxel spacing of the rejected scan (mm).
+        got_spacing: Spacing,
+    },
+}
+
+fn grid(d: Dims, s: Spacing) -> String {
+    format!(
+        "{}×{}×{} voxels at {}×{}×{} mm",
+        d.nx, d.ny, d.nz, s.dx, s.dy, s.dz
+    )
 }
 
 impl fmt::Display for Error {
@@ -36,6 +58,19 @@ impl fmt::Display for Error {
             Error::Sparse(e) => write!(f, "sparse error: {e}"),
             Error::Segment(e) => write!(f, "segmentation error: {e}"),
             Error::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
+            Error::ScanGridMismatch {
+                expected_dims,
+                expected_spacing,
+                got_dims,
+                got_spacing,
+            } => {
+                write!(
+                    f,
+                    "scan grid mismatch: expected {}, got {}",
+                    grid(*expected_dims, *expected_spacing),
+                    grid(*got_dims, *got_spacing)
+                )
+            }
         }
     }
 }
@@ -47,7 +82,7 @@ impl std::error::Error for Error {
             Error::Fem(e) => Some(e),
             Error::Sparse(e) => Some(e),
             Error::Segment(e) => Some(e),
-            Error::Pipeline(_) => None,
+            Error::Pipeline(_) | Error::ScanGridMismatch { .. } => None,
         }
     }
 }

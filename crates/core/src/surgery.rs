@@ -31,6 +31,7 @@ use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
 use brainshift_fem::{displacement_field_from_mesh, DirichletBcs, SolverContext};
 use brainshift_imaging::dtransform::label_distance_map;
+use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::{labels, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{
@@ -45,6 +46,10 @@ use std::sync::{Arc, Mutex};
 /// (first intraoperative) scan that later scans reuse unchanged.
 pub struct PreparedSurgery {
     cfg: PipelineConfig,
+    /// Voxel grid of the reference scan; every registered scan must be
+    /// on the same grid.
+    reference_dims: Dims,
+    reference_spacing: Spacing,
     mesh: TetMesh,
     surface: TriSurface,
     /// Mesh boundary snapped onto the reference brain boundary (cancels
@@ -134,6 +139,8 @@ impl PreparedSurgery {
             .collect();
         Ok(PreparedSurgery {
             cfg,
+            reference_dims: reference_labels.dims(),
+            reference_spacing: reference_labels.spacing(),
             mesh,
             surface,
             snap_positions: snap.positions,
@@ -168,6 +175,27 @@ impl PreparedSurgery {
         &self.cfg
     }
 
+    /// Refuse a scan that is not on the reference grid: different
+    /// dimensions would misalign the shared distance channels, and a
+    /// different spacing would silently put the field in the wrong
+    /// place. Spacings are compared to within a nanometre.
+    fn check_scan_grid(&self, intensity: &Volume<f32>) -> Result<(), Error> {
+        let (d, s) = (intensity.dims(), intensity.spacing());
+        let rs = self.reference_spacing;
+        let same_spacing = [(s.dx, rs.dx), (s.dy, rs.dy), (s.dz, rs.dz)]
+            .iter()
+            .all(|(a, b)| (a - b).abs() <= 1e-6);
+        if d == self.reference_dims && same_spacing {
+            return Ok(());
+        }
+        Err(Error::ScanGridMismatch {
+            expected_dims: self.reference_dims,
+            expected_spacing: rs,
+            got_dims: d,
+            got_spacing: s,
+        })
+    }
+
     /// Register one intraoperative scan: classification with the
     /// per-surgery statistical model, active-surface correspondence, and
     /// one warm-started FEM solve on `ctx` (which must have been built by
@@ -187,6 +215,7 @@ impl PreparedSurgery {
         solver_override: Option<&SolverOptions>,
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<ScanRegistration, Error> {
+        self.check_scan_grid(intensity)?;
         let mut sw = Stopwatch::wall();
         // Feature stack: fresh intensity channel + the per-surgery shared
         // distance channels (computed once in `new`).
@@ -395,5 +424,51 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(reg.rung_reasons.len(), reg.attempts);
+    }
+
+    #[test]
+    fn off_grid_scans_are_typed_errors_and_the_surgery_keeps_serving() {
+        let seq = small_seq(1);
+        let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
+        let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
+        let mut ctx = prepared.build_solver_context().expect("context build failed");
+        let good = &seq.scans[0].intensity;
+        let (ref_dims, ref_spacing) = (good.dims(), good.spacing());
+
+        // Wrong dimensions: used to panic inside the feature stack.
+        let small = Volume::<f32>::zeros(Dims::new(16, 16, 12), ref_spacing);
+        match prepared.register_scan(&mut ctx, &small, None, None, None) {
+            Err(Error::ScanGridMismatch { expected_dims, got_dims, .. }) => {
+                assert_eq!(expected_dims, ref_dims);
+                assert_eq!(got_dims, Dims::new(16, 16, 12));
+            }
+            other => panic!("expected ScanGridMismatch, got {:?}", other.err()),
+        }
+
+        // Right dimensions, wrong spacing: used to be accepted silently.
+        let squeezed = Volume::from_vec(ref_dims, Spacing::iso(2.0), good.data().to_vec());
+        let err = prepared
+            .register_scan(&mut ctx, &squeezed, None, None, None)
+            .err()
+            .expect("a 2.0 mm scan on a 4.5 mm reference must be refused");
+        assert_eq!(
+            err,
+            Error::ScanGridMismatch {
+                expected_dims: ref_dims,
+                expected_spacing: ref_spacing,
+                got_dims: ref_dims,
+                got_spacing: Spacing::iso(2.0),
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("4.5") && msg.contains("2"), "{msg}");
+
+        // Neither rejection touched the context: the next valid scan
+        // solves cold-started as the first solve.
+        let reg = prepared
+            .register_scan(&mut ctx, good, None, None, None)
+            .expect("a valid scan after rejections must register");
+        assert_ne!(reg.status, ScanStatus::Degraded);
+        assert_eq!(ctx.stats().solves, 1);
     }
 }

@@ -106,7 +106,12 @@ impl Vec3 {
     }
 
     /// Component access by axis index (0 = x, 1 = y, 2 = z).
+    ///
+    /// Panics on an index above 2, like indexing a 3-element array: the
+    /// axis is always a loop counter or a literal, so an out-of-range
+    /// value is a programming error, not bad input.
     #[inline]
+    #[allow(clippy::panic)]
     pub fn axis(self, i: usize) -> f64 {
         match i {
             0 => self.x,

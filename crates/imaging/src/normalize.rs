@@ -22,7 +22,7 @@ pub struct HistogramMatch {
 /// (ignoring non-finite values).
 fn quantiles(vol: &Volume<f32>, n_quantiles: usize) -> Vec<f32> {
     let mut vals: Vec<f32> = vol.data().iter().copied().filter(|v| v.is_finite()).collect();
-    vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    vals.sort_by(f32::total_cmp);
     assert!(!vals.is_empty(), "empty volume");
     (0..n_quantiles)
         .map(|i| {
@@ -45,18 +45,22 @@ impl HistogramMatch {
     }
 
     /// Map one intensity through the transfer function (piecewise linear,
-    /// clamped at the ends).
+    /// clamped at the ends). A NaN voxel stays NaN.
     pub fn map(&self, v: f32) -> f32 {
         let s = &self.src_quantiles;
         let r = &self.ref_quantiles;
+        let last = s.len() - 1;
+        if v.is_nan() {
+            return v;
+        }
         if v <= s[0] {
             return r[0];
         }
-        if v >= *s.last().unwrap() {
-            return *r.last().unwrap();
+        if v >= s[last] {
+            return r[last];
         }
         // Binary search for the containing segment.
-        let mut i = match s.binary_search_by(|q| q.partial_cmp(&v).unwrap()) {
+        let mut i = match s.binary_search_by(|q| q.total_cmp(&v)) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
@@ -65,7 +69,7 @@ impl HistogramMatch {
             i += 1;
         }
         if i + 1 >= s.len() {
-            return *r.last().unwrap();
+            return r[last];
         }
         let t = (v - s[i]) / (s[i + 1] - s[i]);
         r[i] + t * (r[i + 1] - r[i])
@@ -125,6 +129,18 @@ mod tests {
             assert!(m >= prev - 1e-4, "not monotone at {v}");
             prev = m;
         }
+    }
+
+    #[test]
+    fn nan_voxels_pass_through_without_panicking() {
+        let reference = noise(7, 0.0, 100.0);
+        let mut source = noise(8, 0.0, 100.0);
+        source.data_mut()[5] = f32::NAN;
+        source.data_mut()[9] = -f32::NAN;
+        let matched = match_histogram(&source, &reference);
+        assert!(matched.data()[5].is_nan() && matched.data()[9].is_nan());
+        let finite = |(i, v): (usize, &f32)| i == 5 || i == 9 || v.is_finite();
+        assert!(matched.data().iter().enumerate().all(finite));
     }
 
     #[test]

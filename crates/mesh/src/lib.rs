@@ -7,6 +7,10 @@
 //! and element-quality / connectivity statistics.
 
 #![warn(missing_docs)]
+// Library code must not panic on bad input: failures are typed errors or
+// documented invariants. Test modules are exempt; descriptive
+// `.expect()` on established invariants remains allowed.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod error;
 pub mod generator;

@@ -103,36 +103,16 @@ impl Encoder {
 
 /// Cursor over an immutable byte slice; every read is bounds-checked and
 /// failures are typed ([`PersistError::Truncated`]).
-///
-/// The decoder also carries the *container format version* the bytes
-/// were written under, so `Persist::decode` impls can skip fields that
-/// did not exist yet (`if dec.version() >= 2 { … }`). Freshly-encoded
-/// buffers (`from_bytes` round trips) decode at the current
-/// [`crate::FORMAT_VERSION`]; snapshot sections decode at the version
-/// stamped in the container header.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder at the start of `buf`, assuming the current
-    /// [`crate::FORMAT_VERSION`] layout.
+    /// A decoder at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0, version: crate::FORMAT_VERSION }
-    }
-
-    /// A decoder for bytes written under an explicit (possibly older)
-    /// container format version.
-    pub fn with_version(buf: &'a [u8], version: u32) -> Self {
-        Decoder { buf, pos: 0, version }
-    }
-
-    /// Format version the underlying bytes were written at.
-    pub fn version(&self) -> u32 {
-        self.version
+        Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.

@@ -21,7 +21,7 @@ pub enum PersistError {
     UnsupportedVersion {
         /// The version recorded in the snapshot.
         found: u32,
-        /// The newest version this reader understands.
+        /// The one version this reader understands.
         supported: u32,
     },
     /// A section's FNV-1a content checksum does not match its payload —
@@ -72,7 +72,7 @@ impl fmt::Display for PersistError {
                 write!(f, "not a brainshift snapshot (leading bytes {found:02x?})")
             }
             PersistError::UnsupportedVersion { found, supported } => {
-                write!(f, "snapshot format version {found} unsupported (this reader knows ≤ {supported})")
+                write!(f, "snapshot format version {found} unsupported (this reader reads only version {supported})")
             }
             PersistError::ChecksumMismatch { section, expected, actual } => {
                 write!(f, "section '{section}' checksum mismatch: expected {expected:016x}, got {actual:016x}")

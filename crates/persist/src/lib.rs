@@ -25,15 +25,17 @@
 //! ## Version-evolution policy
 //!
 //! The format version is a single monotonically increasing `u32`
-//! ([`FORMAT_VERSION`]). A reader accepts the versions it knows
-//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]); anything
-//! newer — or older than the supported floor — is
-//! [`PersistError::UnsupportedVersion`] — refuse, don't guess. Compatible
-//! additions (new sections) do not bump the version: readers look
-//! sections up by name and ignore names they don't know. Any change to an
-//! existing section's encoding bumps the version; the reader hands each
-//! section a [`Decoder`] carrying the container's stamped version so
-//! `Persist::decode` impls read old layouts via `dec.version()`.
+//! ([`FORMAT_VERSION`], currently 3). A reader accepts exactly the
+//! version it writes; anything else — older or newer — is
+//! [`PersistError::UnsupportedVersion`]: refuse, don't guess. There is no
+//! back-compat decoding, because snapshots only move warm state between
+//! shards running the same build and none are kept on disk across
+//! releases. Compatible additions (new sections) do not bump the version:
+//! readers look sections up by name and ignore names they don't know.
+//! Any change to an existing section's encoding bumps the version, so a
+//! container from another layout is refused at the header instead of
+//! misdecoded. v1 and v2 containers (the latter carried the removed
+//! mixed-precision and RCM solver fields) are refused this way.
 
 #![warn(missing_docs)]
 // Decoding untrusted bytes must never panic: every failure is a typed
@@ -46,7 +48,7 @@ pub mod snapshot;
 
 pub use codec::{fnv1a, Decoder, Encoder, Persist};
 pub use error::PersistError;
-pub use snapshot::{SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION};
+pub use snapshot::{SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC};
 
 /// Encode one `Persist` value into a standalone byte buffer.
 pub fn to_bytes<T: Persist>(value: &T) -> Result<Vec<u8>, PersistError> {

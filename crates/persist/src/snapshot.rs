@@ -27,18 +27,16 @@ use crate::error::PersistError;
 /// Leading bytes of every brainshift snapshot.
 pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 
-/// Current snapshot format version. Bumped only when an existing
-/// section's encoding changes; new sections do not bump it.
+/// Snapshot format version, and the only one [`SnapshotReader::parse`]
+/// accepts. Bumped only when an existing section's encoding changes; new
+/// sections do not bump it.
 ///
-/// v2 (the solver speed ladder) appended trailing fields to the solver
-/// configuration and context sections: `SolverOptions::precision`,
-/// `EscalationPolicy::f64_fallback`, `FemSolveConfig::{reorder, spmv}`,
-/// and the context's optional RCM permutation. v1 containers decode with
-/// those fields at their defaults.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest container version this reader still decodes.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
+/// v3 carries `FemSolveConfig::spmv` and drops the v2 solver fields of
+/// the removed mixed-precision and RCM paths (a solve-precision tag, an
+/// f64-fallback switch, an ordering tag and the context's permutation).
+/// v1 and v2 containers are refused with
+/// [`PersistError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Builds a snapshot from named payload sections.
 #[derive(Debug, Default)]
@@ -108,7 +106,6 @@ struct SectionEntry {
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     table: Vec<SectionEntry>,
-    version: u32,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -122,7 +119,7 @@ impl<'a> SnapshotReader<'a> {
         }
         let mut dec = Decoder::new(&buf[MAGIC.len()..]);
         let version = dec.get_u32()?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -153,13 +150,7 @@ impl<'a> SnapshotReader<'a> {
             }
             table.push(SectionEntry { name, offset, len });
         }
-        Ok(SnapshotReader { buf, table, version })
-    }
-
-    /// The container's stamped format version (within
-    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotReader { buf, table })
     }
 
     /// Section names, in table order.
@@ -179,12 +170,7 @@ impl<'a> SnapshotReader<'a> {
             .iter()
             .find(|e| e.name == name)
             .ok_or_else(|| PersistError::MissingSection { name: name.to_string() })?;
-        // Decode at the *container's* stamped version so older payload
-        // layouts are read correctly.
-        Ok(Decoder::with_version(
-            &self.buf[entry.offset..entry.offset + entry.len],
-            self.version,
-        ))
+        Ok(Decoder::new(&self.buf[entry.offset..entry.offset + entry.len]))
     }
 
     /// Decode one `Persist` value from a named section, requiring the
@@ -248,23 +234,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_is_still_accepted() {
-        // Primitive-section layouts are identical in v1 and v2, so a
-        // container re-stamped to version 1 must parse and decode, with
-        // the reader reporting the old version to section decoders.
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let r = SnapshotReader::parse(&bytes).expect("v1 parses");
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.section("meta").expect("meta").version(), 1);
-        assert_eq!(r.section_value::<u64>("meta").expect("meta"), 42);
-        // Below the supported floor is refused.
-        let mut old = sample();
-        old[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::parse(&old),
-            Err(PersistError::UnsupportedVersion { found: 0, .. })
-        ));
+    fn older_versions_are_refused() {
+        // v1 and v2 solver sections have a different layout; a container
+        // stamped with either must be refused at the header, even when
+        // its sections would happen to decode.
+        for old in [0u32, 1, 2] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            match SnapshotReader::parse(&bytes) {
+                Err(PersistError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, old);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("v{old}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
+        // The current stamp parses.
+        assert!(SnapshotReader::parse(&sample()).is_ok());
+        assert_eq!(FORMAT_VERSION, 3);
     }
 
     #[test]

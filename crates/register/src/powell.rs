@@ -178,11 +178,11 @@ pub fn powell_minimize(obj: &mut dyn Objective, x0: &[f64], opts: &PowellOptions
         let net_norm: f64 = net.iter().map(|v| v * v).sum::<f64>().sqrt();
         if net_norm > 1e-12 {
             dirs.remove(biggest_idx);
-            dirs.push(net.iter().map(|v| v / net_norm).collect());
+            let new_dir: Vec<f64> = net.iter().map(|v| v / net_norm).collect();
             // One extra minimization along the new direction.
             let step: f64 = opts.initial_step.iter().cloned().fold(0.0, f64::max);
-            f = line_minimize(obj, &mut x, dirs.last().unwrap().clone().as_slice(), step, opts.line_tolerance, &mut evals)
-                .min(f);
+            f = line_minimize(obj, &mut x, &new_dir, step, opts.line_tolerance, &mut evals).min(f);
+            dirs.push(new_dir);
         }
         if f_start - f < opts.tolerance {
             break;

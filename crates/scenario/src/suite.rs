@@ -83,6 +83,10 @@ pub struct SuiteReport {
     pub shed_jobs: usize,
     /// Jobs that degraded to carry-forward instead of converging.
     pub degraded: usize,
+    /// Jobs whose solve needed a rung beyond the primary GMRES attempt.
+    pub escalated: usize,
+    /// Jobs whose escalation reached the last, BiCGStab rung.
+    pub bicgstab_rungs: usize,
     /// Total cavity-carve retries across all resection cases.
     pub carve_retries: usize,
     /// The service's timestamp-free event script — the determinism
@@ -119,9 +123,15 @@ pub fn run_scenario_suite(cfg: &SuiteConfig) -> SuiteReport {
         generation_failures: 0,
         shed_jobs: 0,
         degraded: 0,
+        escalated: 0,
+        bicgstab_rungs: 0,
         carve_retries: 0,
         script: String::new(),
     };
+    // With the default policy the BiCGStab fallback is the rung after
+    // the primary GMRES attempt and every larger-restart GMRES attempt.
+    let policy = suite_pipeline_config().fem.escalation;
+    let bicgstab_attempt = 2 + policy.larger_restarts.len();
     for (kind, seed) in suite_cases(cfg.base_seed, cfg.cases) {
         let case = match generate_scenario(kind, seed) {
             Ok(case) => case,
@@ -168,6 +178,12 @@ pub fn run_scenario_suite(cfg: &SuiteConfig) -> SuiteReport {
         };
         if outcome.status == ScanStatus::Degraded {
             report.degraded += 1;
+        }
+        if outcome.attempts > 1 {
+            report.escalated += 1;
+        }
+        if policy.bicgstab_fallback && outcome.attempts >= bicgstab_attempt {
+            report.bicgstab_rungs += 1;
         }
         report.records.push(SuiteCaseRecord {
             name: case.name,

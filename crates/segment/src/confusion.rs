@@ -68,7 +68,7 @@ impl ConfusionMatrix {
         correct as f64 / total as f64
     }
 
-    /// Precision of one class: correct / all predicted as the class.
+    /// Per-class precision: correct / all predicted as the class.
     pub fn precision(&self, label: u8) -> f64 {
         let n = self.labels.len();
         let Ok(p) = self.labels.binary_search(&label) else { return 0.0 };

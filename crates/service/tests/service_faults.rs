@@ -319,3 +319,43 @@ fn admission_rejections_are_typed() {
 
     service.shutdown();
 }
+
+#[test]
+fn off_grid_scan_is_a_typed_error_and_the_worker_keeps_serving() {
+    use brainshift_core::Error as CoreError;
+    use brainshift_imaging::Volume;
+    use brainshift_service::ServiceError;
+
+    let seq = small_seq(1, 8.0);
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let s = service.open_session(prepared(&seq));
+    let deadline = Duration::from_secs(300);
+    let submit = |intensity: Volume<f32>| {
+        let job = ScanJob { session: s, intensity, priority: 0, deadline };
+        service.submit(job).expect("admit").wait()
+    };
+
+    // A 16×16×12 scan against the 32×32×24 reference, then a scan with
+    // the reference dims but 2.0 mm spacing instead of 4.5 mm: both are
+    // refused with the typed grid error instead of panicking the worker
+    // or returning a misplaced field.
+    let good = &seq.scans[0].intensity;
+    let wrong_dims = Volume::<f32>::zeros(Dims::new(16, 16, 12), Spacing::iso(4.5));
+    let wrong_spacing = Volume::from_vec(good.dims(), Spacing::iso(2.0), good.data().to_vec());
+    for bad in [wrong_dims, wrong_spacing] {
+        match submit(bad) {
+            Err(ServiceError::Pipeline(CoreError::ScanGridMismatch { expected_dims, .. })) => {
+                assert_eq!(expected_dims, Dims::new(32, 32, 24));
+            }
+            other => panic!("expected a scan-grid error, got {:?}", other.map(|o| o.job)),
+        }
+    }
+
+    // The single worker survived both and serves the next valid scan.
+    let out = submit(good.clone()).expect("valid scan after rejections");
+    assert_eq!(out.worker, 0);
+    assert_ne!(out.status, ScanStatus::Degraded);
+    let st = service.session_stats(s).expect("session exists");
+    assert_eq!(st.completed, 3);
+    service.shutdown();
+}

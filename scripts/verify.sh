@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
 # Failure paths are part of the contract: run the injection suite
 # explicitly so a filtered test run can't silently skip it.
@@ -81,29 +81,23 @@ RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
 RAYON_NUM_THREADS=4 cargo test -q --test persist_props --test persist_recovery
 cargo run -q --release -p brainshift-bench --bin persist_report
 
-# Solver stage: the speed ladder (DESIGN.md §16). The conformance
-# differential harness (now including the RCM, mixed-precision, blocked
-# and matrix-free paths, pairwise ≤1e-6), the sparse refinement suite,
-# and the ladder property tests at two thread counts, then the ladder
-# report bin — which asserts RCM bandwidth reduction ≥2× vs an arbitrary
-# admission order and a cold-solve win from at least one rung — writing
-# bench_out/solver_ladder.json.
+# Solver stage (DESIGN.md §16): the conformance differential harness
+# (gmres, bicgstab, escalated, RCM-reordered, blocked 3×3 SpMV, warm
+# context, and the distributed solve at 1/2/4/8 ranks, pairwise ≤1e-6)
+# and the RCM permuted-solve property test, at two thread counts.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-conformance differential
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
-RAYON_NUM_THREADS=1 cargo test -q -p brainshift-sparse refine
-RAYON_NUM_THREADS=4 cargo test -q -p brainshift-sparse refine
 RAYON_NUM_THREADS=1 cargo test -q --test solver_ladder_props
 RAYON_NUM_THREADS=4 cargo test -q --test solver_ladder_props
-cargo run -q --release -p brainshift-bench --bin solver_ladder_json
 
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
-# typed errors instead. The obs, sparse, FEM, core, service, segment and
-# surface crates deny clippy::unwrap_used / clippy::panic in their
-# non-test code (see the cfg_attr in each crate's lib.rs); lint the libs
-# to enforce it.
-cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario --lib -- -D warnings
+# typed errors instead. The persist, obs, imaging, mesh, register,
+# sparse, FEM, core, service, segment, surface and scenario crates deny
+# clippy::unwrap_used / clippy::panic in their non-test code (see the
+# cfg_attr in each crate's lib.rs); lint the libs to enforce it.
+cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-imaging -p brainshift-mesh -p brainshift-register -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario --lib -- -D warnings
 
 # Sparse assert audit: non-test sparse kernels must return typed
 # SparseError values (or use debug_assert!) instead of panicking
