@@ -3,59 +3,186 @@
 //! The paper assembles `K` in parallel by "sending approximately equal
 //! numbers of mesh nodes to each CPU"; because "different mesh nodes can
 //! have different connectivity", per-CPU work differs — the assembly load
-//! imbalance of §3.2. We provide (a) a real parallel assembly over threads
-//! and (b) the per-rank work accounting the simulated cluster prices.
+//! imbalance of §3.2. We provide (a) a real parallel assembly over
+//! contiguous node-row ranges and (b) the per-rank work accounting the
+//! simulated cluster prices.
+//!
+//! Assembly runs in two phases. The *symbolic* phase builds the node
+//! adjacency and from it a 3×3-block CSR pattern: node `i`'s scalar row
+//! `3i+a` owns `3·deg(i)` consecutive slots, one per neighbour column
+//! `3j+c`, in ascending column order. The *numeric* phase scatters each
+//! element's `stiffness_isotropic` block straight into those slots, then
+//! the slots no element gave a nonzero contribution are dropped. Each
+//! slot sums its contributions in ascending element order, so `K` is
+//! bitwise identical at any thread count.
 
 use crate::element::{stiffness_isotropic, TetShape, FLOPS_PER_ELEMENT};
 use crate::material::MaterialTable;
 use brainshift_mesh::TetMesh;
-use brainshift_sparse::{CsrMatrix, TripletBuilder};
+use brainshift_sparse::CsrMatrix;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Assemble the global stiffness matrix `K` (3N × 3N) for a mesh and
-/// material table. Degenerate elements are skipped.
+/// material table. Degenerate elements and exactly-zero element entries
+/// contribute no stored entry.
 pub fn assemble_stiffness(mesh: &TetMesh, materials: &MaterialTable) -> CsrMatrix {
-    let ndof = mesh.num_equations();
-    // Parallel over chunks of elements, one TripletBuilder per chunk,
-    // merged at the end (rayon's data-parallel idiom from the guides).
-    let chunk = 2048.max(mesh.num_tets() / (rayon::current_num_threads() * 4).max(1));
-    let builders: Vec<TripletBuilder> = mesh
-        .tets
-        .par_chunks(chunk)
-        .zip(mesh.tet_labels.par_chunks(chunk))
-        .map(|(tets, tet_labels)| {
-            let mut b = TripletBuilder::with_capacity(ndof, ndof, tets.len() * 144);
-            for (tet, &label) in tets.iter().zip(tet_labels) {
-                let p = [
-                    mesh.nodes[tet[0]],
-                    mesh.nodes[tet[1]],
-                    mesh.nodes[tet[2]],
-                    mesh.nodes[tet[3]],
-                ];
-                let Ok(shape) = TetShape::new(p) else { continue };
-                let mat = materials.of(label);
-                let ke = stiffness_isotropic(&shape, &mat);
-                for (i, &ni) in tet.iter().enumerate() {
-                    for (j, &nj) in tet.iter().enumerate() {
-                        for a in 0..3 {
-                            for c in 0..3 {
-                                let v = ke[3 * i + a][3 * j + c];
-                                if v != 0.0 {
-                                    b.add(3 * ni + a, 3 * nj + c, v);
-                                }
-                            }
+    assemble_over_ranges(mesh, materials, rayon::current_num_threads())
+}
+
+/// [`assemble_stiffness`] with the numeric phase split over `parts`
+/// contiguous node-row ranges (the paper's decomposition), balanced by
+/// slot count. Each range owns its rows' slots; the result does not
+/// depend on `parts`.
+fn assemble_over_ranges(mesh: &TetMesh, materials: &MaterialTable, parts: usize) -> CsrMatrix {
+    let n = mesh.num_nodes();
+    let (adj_ptr, adj) = node_adjacency(mesh);
+    let nslots = 9 * adj_ptr[n];
+    let mut values = vec![0.0; nslots];
+    let mut touched = vec![false; nslots];
+
+    let parts = parts.clamp(1, n.max(1));
+    let mut bounds: Vec<usize> = (0..parts)
+        .map(|k| adj_ptr.partition_point(|&s| s * parts < adj_ptr[n] * k))
+        .collect();
+    bounds.push(n);
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut vals_rest, mut touched_rest) = (values.as_mut_slice(), touched.as_mut_slice());
+    for w in bounds.windows(2) {
+        let len = 9 * (adj_ptr[w[1]] - adj_ptr[w[0]]);
+        let (v, vr) = std::mem::take(&mut vals_rest).split_at_mut(len);
+        let (t, tr) = std::mem::take(&mut touched_rest).split_at_mut(len);
+        (vals_rest, touched_rest) = (vr, tr);
+        ranges.push((w[0]..w[1], v, t));
+    }
+    ranges.par_iter_mut().for_each(|(nodes, v, t)| {
+        scatter_rows(mesh, materials, &adj_ptr, &adj, nodes.clone(), v, t);
+    });
+    compact(n, &adj_ptr, &adj, values, &touched)
+}
+
+/// Node adjacency (each node's sorted neighbours, itself included) as a
+/// CSR pattern `(ptr, nodes)`. Degenerate tets are included here; the
+/// slots they alone would fill are dropped by [`compact`].
+fn node_adjacency(mesh: &TetMesh) -> (Vec<usize>, Vec<usize>) {
+    let n = mesh.num_nodes();
+    // Node → incident tets, by counting sort.
+    let mut inc_ptr = vec![0usize; n + 1];
+    for tet in &mesh.tets {
+        for &v in tet {
+            inc_ptr[v + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        inc_ptr[i + 1] += inc_ptr[i];
+    }
+    let mut next = inc_ptr.clone();
+    let mut inc = vec![0usize; inc_ptr[n]];
+    for (e, tet) in mesh.tets.iter().enumerate() {
+        for &v in tet {
+            inc[next[v]] = e;
+            next[v] += 1;
+        }
+    }
+
+    let mut ptr = Vec::with_capacity(n + 1);
+    ptr.push(0);
+    let mut adj = Vec::with_capacity(inc.len());
+    let mut seen_by = vec![usize::MAX; n];
+    for i in 0..n {
+        let start = adj.len();
+        for &e in &inc[inc_ptr[i]..inc_ptr[i + 1]] {
+            for &j in &mesh.tets[e] {
+                if seen_by[j] != i {
+                    seen_by[j] = i;
+                    adj.push(j);
+                }
+            }
+        }
+        adj[start..].sort_unstable();
+        ptr.push(adj.len());
+    }
+    (ptr, adj)
+}
+
+/// Numeric phase for the rows of `nodes`: walk the elements touching the
+/// range in ascending order and add their nonzero entries into the range's
+/// block slots (`values`/`touched` start at node `nodes.start`'s slots).
+fn scatter_rows(
+    mesh: &TetMesh,
+    materials: &MaterialTable,
+    adj_ptr: &[usize],
+    adj: &[usize],
+    nodes: Range<usize>,
+    values: &mut [f64],
+    touched: &mut [bool],
+) {
+    let slot0 = 9 * adj_ptr[nodes.start];
+    for (tet, &label) in mesh.tets.iter().zip(&mesh.tet_labels) {
+        if !tet.iter().any(|v| nodes.contains(v)) {
+            continue;
+        }
+        let p = tet.map(|v| mesh.nodes[v]);
+        let Ok(shape) = TetShape::new(p) else { continue };
+        let ke = stiffness_isotropic(&shape, &materials.of(label));
+        for (i, &ni) in tet.iter().enumerate() {
+            if !nodes.contains(&ni) {
+                continue;
+            }
+            let nbrs = &adj[adj_ptr[ni]..adj_ptr[ni + 1]];
+            let row_len = 3 * nbrs.len();
+            let base = 9 * adj_ptr[ni] - slot0;
+            for (j, &nj) in tet.iter().enumerate() {
+                let pos = nbrs.partition_point(|&m| m < nj);
+                debug_assert_eq!(nbrs.get(pos), Some(&nj));
+                for a in 0..3 {
+                    let slot = base + a * row_len + 3 * pos;
+                    for c in 0..3 {
+                        let v = ke[3 * i + a][3 * j + c];
+                        if v != 0.0 {
+                            values[slot + c] += v;
+                            touched[slot + c] = true;
                         }
                     }
                 }
             }
-            b
-        })
-        .collect();
-    let mut all = TripletBuilder::new(ndof, ndof);
-    for b in builders {
-        all.merge(b);
+        }
     }
-    all.build()
+}
+
+/// Drop the untouched block slots, compacting `values` in place, and emit
+/// the scalar CSR matrix.
+fn compact(
+    n: usize,
+    adj_ptr: &[usize],
+    adj: &[usize],
+    mut values: Vec<f64>,
+    touched: &[bool],
+) -> CsrMatrix {
+    let nnz = touched.iter().filter(|&&t| t).count();
+    let mut indptr = Vec::with_capacity(3 * n + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut slot = 0;
+    for i in 0..n {
+        let nbrs = &adj[adj_ptr[i]..adj_ptr[i + 1]];
+        for _ in 0..3 {
+            for &j in nbrs {
+                for c in 0..3 {
+                    if touched[slot] {
+                        values[indices.len()] = values[slot];
+                        indices.push(3 * j + c);
+                    }
+                    slot += 1;
+                }
+            }
+            indptr.push(indices.len());
+        }
+    }
+    values.truncate(nnz);
+    values.shrink_to_fit();
+    CsrMatrix::from_raw(3 * n, 3 * n, indptr, indices, values)
+        .expect("block pattern rows are sorted, unique and in range by construction")
 }
 
 /// Per-rank assembly work (flops) under a contiguous *node* partition
@@ -95,16 +222,115 @@ pub fn node_work_weights(mesh: &TetMesh) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use brainshift_imaging::labels;
+    use brainshift_imaging::phantom::{generate_preop, PhantomConfig};
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{mesh_labeled_volume, MesherConfig};
     use brainshift_sparse::partition::even_offsets;
+    use brainshift_sparse::TripletBuilder;
 
     pub(crate) fn block_mesh(n: usize) -> TetMesh {
         let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
         mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
+    }
+
+    /// The 32×32×24 @ 4.5 mm phantom head meshed at step 2, as the
+    /// intraoperative pipeline meshes it.
+    pub(crate) fn phantom_mesh() -> TetMesh {
+        let cfg = PhantomConfig {
+            dims: Dims::new(32, 32, 24),
+            spacing: Spacing::iso(4.5),
+            ..Default::default()
+        };
+        let scan = generate_preop(&cfg);
+        mesh_labeled_volume(&scan.labels, &MesherConfig { step: 2, include: labels::is_brain_tissue })
+    }
+
+    /// The triplet assembly this module replaced: push every nonzero
+    /// element entry, then sort and sum duplicates. Kept as the reference
+    /// the pattern + scatter path is checked against.
+    pub(crate) fn assemble_stiffness_triplets(mesh: &TetMesh, materials: &MaterialTable) -> CsrMatrix {
+        let ndof = mesh.num_equations();
+        let mut b = TripletBuilder::with_capacity(ndof, ndof, mesh.num_tets() * 144);
+        for (tet, &label) in mesh.tets.iter().zip(&mesh.tet_labels) {
+            let Ok(shape) = TetShape::new(tet.map(|v| mesh.nodes[v])) else { continue };
+            let ke = stiffness_isotropic(&shape, &materials.of(label));
+            for (i, &ni) in tet.iter().enumerate() {
+                for (j, &nj) in tet.iter().enumerate() {
+                    for a in 0..3 {
+                        for c in 0..3 {
+                            let v = ke[3 * i + a][3 * j + c];
+                            if v != 0.0 {
+                                b.add(3 * ni + a, 3 * nj + c, v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Meshes covering the cases the scatter must handle: axis-aligned
+    /// grid elements (exactly-zero entries), heterogeneous materials,
+    /// jittered nodes (few zeros), and degenerate tets (skipped).
+    fn reference_cases() -> Vec<(&'static str, TetMesh, MaterialTable)> {
+        let het_seg = Volume::from_fn(Dims::new(5, 4, 4), Spacing::iso(1.5), |x, y, _| {
+            if x < 2 {
+                labels::BRAIN
+            } else if y < 2 {
+                labels::FALX
+            } else {
+                labels::TUMOR
+            }
+        });
+        let het = mesh_labeled_volume(&het_seg, &MesherConfig { step: 1, include: labels::is_deformable });
+
+        let mut jittered = block_mesh(4);
+        for (i, p) in jittered.nodes.iter_mut().enumerate() {
+            let t = i as f64;
+            p.x += 0.11 * (1.3 * t).sin();
+            p.y += 0.07 * (0.7 * t).cos();
+            p.z += 0.09 * (2.1 * t).sin();
+        }
+
+        // Append a flat tet (four coplanar nodes) and one with a repeated
+        // node; both must contribute nothing.
+        let mut degenerate = block_mesh(3);
+        let label = degenerate.tet_labels[0];
+        degenerate.tets.push([0, 1, 2, 3]);
+        degenerate.tet_labels.push(label);
+        let last = degenerate.num_nodes() - 1;
+        degenerate.tets.push([0, last, last, 5]);
+        degenerate.tet_labels.push(label);
+        assert!(degenerate.tets.iter().rev().take(2).all(|t| {
+            TetShape::new(t.map(|v| degenerate.nodes[v])).is_err()
+        }));
+
+        vec![
+            ("homogeneous grid", block_mesh(4), MaterialTable::homogeneous()),
+            ("heterogeneous", het, MaterialTable::heterogeneous()),
+            ("jittered", jittered, MaterialTable::heterogeneous()),
+            ("degenerate tets", degenerate, MaterialTable::homogeneous()),
+        ]
+    }
+
+    /// Same pattern, and values within 1e-14 relative to their row's
+    /// largest entry: the two paths sum duplicates in different orders,
+    /// so an entry whose contributions cancel may differ by rounding.
+    fn assert_matches_reference(name: &str, k: &CsrMatrix, reference: &CsrMatrix) {
+        assert_eq!(k.indptr(), reference.indptr(), "{name}: indptr");
+        assert_eq!(k.indices(), reference.indices(), "{name}: indices");
+        for r in 0..k.nrows() {
+            let (_, vals) = k.row(r);
+            let (_, ref_vals) = reference.row(r);
+            let scale = ref_vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (&a, &b) in vals.iter().zip(ref_vals) {
+                assert!((a - b).abs() <= 1e-14 * scale, "{name}: row {r} has {a}, reference {b}");
+            }
+        }
     }
 
     #[test]
@@ -196,5 +422,55 @@ mod tests {
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
         let nnz_per_row = k.nnz() as f64 / k.nrows() as f64;
         assert!(nnz_per_row > 10.0 && nnz_per_row < 100.0, "{nnz_per_row}");
+    }
+
+    #[test]
+    fn scatter_matches_triplet_reference() {
+        for (name, mesh, materials) in reference_cases() {
+            let k = assemble_stiffness(&mesh, &materials);
+            let reference = assemble_stiffness_triplets(&mesh, &materials);
+            assert_matches_reference(name, &k, &reference);
+        }
+    }
+
+    #[test]
+    fn scatter_matches_triplet_reference_on_phantom() {
+        let mesh = phantom_mesh();
+        let materials = MaterialTable::homogeneous();
+        let k = assemble_stiffness(&mesh, &materials);
+        assert_matches_reference("phantom", &k, &assemble_stiffness_triplets(&mesh, &materials));
+    }
+
+    #[test]
+    fn exact_zero_contributions_store_no_entry() {
+        // On an axis-aligned grid many element entries are exactly zero;
+        // the scatter must drop those slots just as the triplet path
+        // skipped them, rather than keep the full 3×3 node blocks.
+        let mesh = block_mesh(4);
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let (adj_ptr, _) = node_adjacency(&mesh);
+        assert!(k.nnz() < 9 * adj_ptr[mesh.num_nodes()]);
+    }
+
+    #[test]
+    fn row_range_split_is_bitwise_invariant() {
+        // Every slot sums in ascending element order whatever the range
+        // split, so any number of ranges gives the same bits.
+        for (name, mesh, materials) in reference_cases() {
+            let serial = assemble_over_ranges(&mesh, &materials, 1);
+            for parts in [2, 3, 4, 7] {
+                let split = assemble_over_ranges(&mesh, &materials, parts);
+                assert_eq!(split.indptr(), serial.indptr(), "{name}: {parts} ranges");
+                assert_eq!(split.indices(), serial.indices(), "{name}: {parts} ranges");
+                let same = split.values().iter().zip(serial.values()).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{name}: values differ at {parts} ranges");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_mesh_assembles_to_empty_matrix() {
+        let k = assemble_stiffness(&TetMesh::empty(), &MaterialTable::homogeneous());
+        assert_eq!((k.nrows(), k.ncols(), k.nnz()), (0, 0, 0));
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::error::FemError;
 use brainshift_imaging::Vec3;
-use brainshift_sparse::{CsrMatrix, TripletBuilder};
+use brainshift_sparse::CsrMatrix;
 use std::collections::HashMap;
 
 /// A set of prescribed nodal displacements.
@@ -125,22 +125,44 @@ impl DirichletStructure {
         }
         let nfree = free_dofs.len();
         let nc = constrained_dofs.len();
-        let mut bff = TripletBuilder::with_capacity(nfree, nfree, k.nnz());
-        let mut bfc = TripletBuilder::new(nfree, nc.max(1));
-        for (ri, &dof) in free_dofs.iter().enumerate() {
+        // K's rows are sorted and duplicate-free and both DOF maps are
+        // monotone, so each free row splits straight into sorted CSR rows
+        // of K_ff and K_fc — no triplets, no sort. Count first so both
+        // blocks are allocated at their exact size.
+        let mut ff_nnz = 0;
+        let mut fc_nnz = 0;
+        for &dof in &free_dofs {
+            let cols = k.row(dof).0;
+            let free = cols.iter().filter(|&&c| reduced_of_dof[c] != usize::MAX).count();
+            ff_nnz += free;
+            fc_nnz += cols.len() - free;
+        }
+        let mut ff_ptr = Vec::with_capacity(nfree + 1);
+        let mut ff_cols = Vec::with_capacity(ff_nnz);
+        let mut ff_vals = Vec::with_capacity(ff_nnz);
+        let mut fc_ptr = Vec::with_capacity(nfree + 1);
+        let mut fc_cols = Vec::with_capacity(fc_nnz);
+        let mut fc_vals = Vec::with_capacity(fc_nnz);
+        ff_ptr.push(0);
+        fc_ptr.push(0);
+        for &dof in &free_dofs {
             let (cols, vals) = k.row(dof);
             for (&c, &v) in cols.iter().zip(vals) {
                 let rc = reduced_of_dof[c];
                 if rc == usize::MAX {
-                    bfc.add(ri, constrained_of_dof[c], v);
+                    fc_cols.push(constrained_of_dof[c]);
+                    fc_vals.push(v);
                 } else {
-                    bff.add(ri, rc, v);
+                    ff_cols.push(rc);
+                    ff_vals.push(v);
                 }
             }
+            ff_ptr.push(ff_cols.len());
+            fc_ptr.push(fc_cols.len());
         }
         Ok(DirichletStructure {
-            matrix: bff.build(),
-            coupling: bfc.build(),
+            matrix: CsrMatrix::from_raw(nfree, nfree, ff_ptr, ff_cols, ff_vals)?,
+            coupling: CsrMatrix::from_raw(nfree, nc.max(1), fc_ptr, fc_cols, fc_vals)?,
             free_dofs,
             reduced_of_dof,
             constrained_dofs,
@@ -545,5 +567,59 @@ mod tests {
         bcs.set(3, Vec3::new(2.0, 2.0, 2.0));
         assert_eq!(bcs.len(), 1);
         assert_eq!(bcs.get(3), Some(Vec3::new(2.0, 2.0, 2.0)));
+    }
+
+    /// The reduction as it was built before: both blocks through a
+    /// sorting `TripletBuilder`.
+    fn split_with_triplets(k: &CsrMatrix, s: &DirichletStructure) -> (CsrMatrix, CsrMatrix) {
+        let nfree = s.num_free();
+        let mut constrained_of_dof = vec![usize::MAX; k.nrows()];
+        for (ci, &dof) in s.constrained_dofs.iter().enumerate() {
+            constrained_of_dof[dof] = ci;
+        }
+        let mut bff = brainshift_sparse::TripletBuilder::new(nfree, nfree);
+        let mut bfc = brainshift_sparse::TripletBuilder::new(nfree, s.num_constrained().max(1));
+        for (ri, &dof) in s.free_dofs.iter().enumerate() {
+            let (cols, vals) = k.row(dof);
+            for (&c, &v) in cols.iter().zip(vals) {
+                match s.reduced_of_dof[c] {
+                    usize::MAX => bfc.add(ri, constrained_of_dof[c], v),
+                    rc => bff.add(ri, rc, v),
+                }
+            }
+        }
+        (bff.build(), bfc.build())
+    }
+
+    fn assert_bitwise_eq(name: &str, a: &CsrMatrix, b: &CsrMatrix) {
+        assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()), "{name}: shape");
+        assert_eq!(a.indptr(), b.indptr(), "{name}: indptr");
+        assert_eq!(a.indices(), b.indices(), "{name}: indices");
+        let same = a.values().iter().zip(b.values()).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{name}: values differ");
+    }
+
+    #[test]
+    fn direct_split_is_bitwise_the_triplet_split_on_phantom() {
+        let mesh = crate::assembly::tests::phantom_mesh();
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let surface = boundary_nodes(&mesh);
+        let s = DirichletStructure::new(&k, &surface).expect("valid constrained set");
+        assert!(s.num_constrained() > 0 && s.num_free() > 0);
+        let (kff, kfc) = split_with_triplets(&k, &s);
+        assert_bitwise_eq("K_ff", &s.matrix, &kff);
+        assert_bitwise_eq("K_fc", &s.coupling, &kfc);
+    }
+
+    #[test]
+    fn split_handles_no_free_and_no_constrained_dofs() {
+        let mesh = block_mesh(2);
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let all: Vec<usize> = (0..mesh.num_nodes()).collect();
+        let s = DirichletStructure::new(&k, &all).expect("valid constrained set");
+        assert_eq!((s.matrix.nrows(), s.coupling.nrows(), s.coupling.ncols()), (0, 0, k.nrows()));
+        let s = DirichletStructure::new(&k, &[]).expect("valid constrained set");
+        assert_eq!(s.coupling.ncols(), 1, "an empty coupling block keeps one column");
+        assert_bitwise_eq("K_ff", &s.matrix, &k);
     }
 }

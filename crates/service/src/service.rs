@@ -714,6 +714,9 @@ struct Claim {
     warm: bool,
     worker: usize,
     stolen: bool,
+    /// The session was closed while the job was queued. Read once, at
+    /// claim time: a job whose `Start` is logged runs to completion.
+    closed: bool,
 }
 
 /// Try to claim one job from `owner`'s queue for `runner`. Steal
@@ -744,7 +747,8 @@ fn try_claim_from(shared: &Shared, owner: usize, runner: usize) -> Option<Claim>
 
     // Cache checkout under its own short lock; a closed session skips it
     // (close_session already discarded the entry).
-    let (ctx, warm) = if pending.session.closed.load(Ordering::SeqCst) {
+    let closed = pending.session.closed.load(Ordering::SeqCst);
+    let (ctx, warm) = if closed {
         (None, false)
     } else {
         let ctx = shared.cache.lock().take(q.session);
@@ -771,7 +775,7 @@ fn try_claim_from(shared: &Shared, owner: usize, runner: usize) -> Option<Claim>
         depth,
         EventKind::Start { session: q.session, job: q.job, warm, worker: runner, stolen: stealing },
     );
-    Some(Claim { q, pending, ctx, warm, worker: runner, stolen: stealing })
+    Some(Claim { q, pending, ctx, warm, worker: runner, stolen: stealing, closed })
 }
 
 /// Claim the next job for worker `w`: own queue first, then a steal scan
@@ -829,9 +833,9 @@ fn finish(shared: &Shared, session: &Arc<SurgerySession>, ctx: Option<SolverCont
 }
 
 fn execute(shared: &Shared, claim: Claim) {
-    let Claim { q, pending, ctx, warm, worker, stolen } = claim;
+    let Claim { q, pending, ctx, warm, worker, stolen, closed } = claim;
     let session = Arc::clone(&pending.session);
-    if session.closed.load(Ordering::SeqCst) {
+    if closed {
         // Session closed while the job was queued.
         finish(shared, &session, None, q.job, shared.now_us() > q.deadline_us);
         let _ = pending.tx.send(Err(ServiceError::Pipeline(CoreError::Pipeline(format!(

@@ -2,8 +2,9 @@
 //!
 //! The paper solves `K u = f` (77 511 and 253 308 equations) with PETSc;
 //! this module is the storage layer of our from-scratch replacement. FEM
-//! assembly produces triplets concurrently, which [`TripletBuilder`]
-//! compresses into CSR with duplicate summation.
+//! assembly scatters into a precomputed pattern and hands the arrays to
+//! [`CsrMatrix::from_raw`]; [`TripletBuilder`] compresses ad-hoc
+//! `(row, col, value)` triplets into CSR with duplicate summation.
 
 use crate::error::SparseError;
 use rayon::prelude::*;
@@ -330,18 +331,11 @@ impl TripletBuilder {
         self.entries.is_empty()
     }
 
-    /// Merge another builder's triplets (used to combine per-thread
-    /// builders after parallel assembly).
-    pub fn merge(&mut self, other: TripletBuilder) {
-        debug_assert_eq!(self.nrows, other.nrows);
-        debug_assert_eq!(self.ncols, other.ncols);
-        self.entries.extend(other.entries);
-    }
-
-    /// Compress to CSR, summing duplicate coordinates.
+    /// Compress to CSR, summing duplicate coordinates in insertion order
+    /// (the sort is stable), so the result does not depend on the sort
+    /// implementation.
     pub fn build(mut self) -> CsrMatrix {
-        self.entries
-            .par_sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        self.entries.sort_by_key(|&(r, c, _)| (r, c));
         let mut indptr = vec![0usize; self.nrows + 1];
         let mut indices: Vec<usize> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
@@ -362,9 +356,6 @@ impl TripletBuilder {
         }
         // Fill gaps for empty rows.
         for i in 1..=self.nrows {
-            if indptr[i] < indptr[i - 1] {
-                indptr[i] = indptr[i - 1];
-            }
             indptr[i] = indptr[i].max(indptr[i - 1]);
         }
         CsrMatrix { nrows: self.nrows, ncols: self.ncols, indptr, indices, values }
@@ -406,6 +397,25 @@ mod tests {
         let m = b.build();
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.nnz(), 2);
+    }
+
+    #[test]
+    fn duplicates_are_summed_in_insertion_order() {
+        // Floating-point addition is not associative: 1e16 + 1 rounds back
+        // to 1e16, so each order of (1e16, 1, -1e16) has its own sum.
+        let orders = [[1e16, 1.0, -1e16], [1e16, -1e16, 1.0], [1.0, -1e16, 1e16]];
+        for order in orders {
+            let mut b = TripletBuilder::new(3, 3);
+            // Interleave other coordinates so an unstable sort would have
+            // room to permute the duplicates.
+            for (k, &v) in order.iter().enumerate() {
+                b.add(2, k, 1.0);
+                b.add(1, 1, v);
+                b.add(0, 2 - k, 1.0);
+            }
+            let expected = order[0] + order[1] + order[2];
+            assert_eq!(b.build().get(1, 1).to_bits(), expected.to_bits(), "{order:?}");
+        }
     }
 
     #[test]
@@ -474,19 +484,6 @@ mod tests {
         let mut y = vec![0.0; 5];
         i.spmv(&x, &mut y);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn merge_combines_builders() {
-        let mut a = TripletBuilder::new(2, 2);
-        a.add(0, 0, 1.0);
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 2.0);
-        b.add(1, 0, 3.0);
-        a.merge(b);
-        let m = a.build();
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(1, 0), 3.0);
     }
 
     #[test]

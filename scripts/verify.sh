@@ -90,6 +90,13 @@ RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
 RAYON_NUM_THREADS=1 cargo test -q --test solver_ladder_props
 RAYON_NUM_THREADS=4 cargo test -q --test solver_ladder_props
 
+# Assembly stage (DESIGN.md §3): the FEM suite, including the pattern +
+# scatter assembly checked against the triplet reference and its
+# bitwise invariance under the node-row range split, at two thread
+# counts so the parallel numeric phase is exercised for real.
+RAYON_NUM_THREADS=1 cargo test -q -p brainshift-fem
+RAYON_NUM_THREADS=4 cargo test -q -p brainshift-fem
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
