@@ -1,15 +1,17 @@
 //! Criterion: the intraoperative pipeline stage by stage (the host-side
 //! Figure 6) — meshing, k-NN classification, active surface, FEM solve,
-//! dense-field interpolation.
+//! dense-field interpolation — plus the bare k-NN query kernel.
 
 use brainshift_core::case::{generate_elastic_case, ElasticCaseOptions};
+use brainshift_core::sequence::generate_scan_sequence;
 use brainshift_fem::{displacement_field_from_mesh, solve_deformation, DirichletBcs, FemSolveConfig, MaterialTable};
 use brainshift_imaging::labels;
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, extract_boundary, mesh_labeled_volume, MesherConfig};
-use brainshift_segment::{segment_intraop, SegmentConfig};
+use brainshift_segment::classify::build_feature_stack;
+use brainshift_segment::{classify_matrix_serial, segment_intraop, KdTree, PrototypeModel, SegmentConfig};
 use brainshift_surface::{evolve_surface, ActiveSurfaceConfig, DistanceForce};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -69,9 +71,34 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
+/// The k-NN query alone: one serial classification pass over a prebuilt
+/// feature matrix and kd-tree of the 32×32×24 @ 4.5 mm phantom (default
+/// `SegmentConfig`: intensity plus 8 distance channels, ~960 prototypes).
+/// `knn_segmentation` above is dominated by the distance transforms; this
+/// isolates the leaf-scan kernel.
+fn bench_knn_query(c: &mut Criterion) {
+    let phantom = PhantomConfig { dims: Dims::new(32, 32, 24), spacing: Spacing::iso(4.5), ..Default::default() };
+    let seq = generate_scan_sequence(&phantom, &BrainShiftConfig::default(), 2, 2);
+    let cfg = SegmentConfig::default();
+    let reference = &seq.reference.labels;
+    let mut classes = reference.labels();
+    classes.retain(|&c| c != labels::RESECTION);
+    let model = PrototypeModel::sample(reference, &classes, cfg.per_class, cfg.seed);
+    let fs = build_feature_stack(&seq.scans[1].intensity, reference, &model.classes(), &cfg);
+    let tree = KdTree::build(model.extract(&fs)).expect("phantom prototypes are finite");
+    let matrix = fs.to_matrix();
+
+    let mut g = c.benchmark_group("pipeline_stage");
+    g.sample_size(20);
+    g.bench_function("knn_query", |b| {
+        b.iter(|| std::hint::black_box(classify_matrix_serial(&matrix, &tree, cfg.k)));
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_stages
+    targets = bench_stages, bench_knn_query
 }
 criterion_main!(benches);

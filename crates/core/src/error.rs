@@ -41,6 +41,13 @@ pub enum Error {
         /// Voxel spacing of the rejected scan (mm).
         got_spacing: Spacing,
     },
+    /// An intraoperative scan holds NaN or infinite intensities. One such
+    /// voxel makes every k-NN distance from it non-finite, so its label
+    /// would be arbitrary; the scan is refused instead.
+    NonFiniteScan {
+        /// Number of non-finite voxels in the rejected scan.
+        voxels: usize,
+    },
 }
 
 fn grid(d: Dims, s: Spacing) -> String {
@@ -71,6 +78,9 @@ impl fmt::Display for Error {
                     grid(*got_dims, *got_spacing)
                 )
             }
+            Error::NonFiniteScan { voxels } => {
+                write!(f, "scan has {voxels} non-finite intensity voxels")
+            }
         }
     }
 }
@@ -82,7 +92,9 @@ impl std::error::Error for Error {
             Error::Fem(e) => Some(e),
             Error::Sparse(e) => Some(e),
             Error::Segment(e) => Some(e),
-            Error::Pipeline(_) | Error::ScanGridMismatch { .. } => None,
+            Error::Pipeline(_) | Error::ScanGridMismatch { .. } | Error::NonFiniteScan { .. } => {
+                None
+            }
         }
     }
 }

@@ -196,6 +196,16 @@ impl PreparedSurgery {
         })
     }
 
+    /// Refuse a scan with NaN or infinite intensities: a non-finite
+    /// feature makes every k-NN distance from its voxel non-finite, and
+    /// the voxel's label would then be arbitrary.
+    fn check_scan_finite(intensity: &Volume<f32>) -> Result<(), Error> {
+        match intensity.data().iter().filter(|v| !v.is_finite()).count() {
+            0 => Ok(()),
+            voxels => Err(Error::NonFiniteScan { voxels }),
+        }
+    }
+
     /// Register one intraoperative scan: classification with the
     /// per-surgery statistical model, active-surface correspondence, and
     /// one warm-started FEM solve on `ctx` (which must have been built by
@@ -216,6 +226,7 @@ impl PreparedSurgery {
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<ScanRegistration, Error> {
         self.check_scan_grid(intensity)?;
+        Self::check_scan_finite(intensity)?;
         let mut sw = Stopwatch::wall();
         // Feature stack: fresh intensity channel + the per-surgery shared
         // distance channels (computed once in `new`).
@@ -468,6 +479,35 @@ mod tests {
         let reg = prepared
             .register_scan(&mut ctx, good, None, None, None)
             .expect("a valid scan after rejections must register");
+        assert_ne!(reg.status, ScanStatus::Degraded);
+        assert_eq!(ctx.stats().solves, 1);
+    }
+
+    #[test]
+    fn non_finite_scans_are_typed_errors_and_the_surgery_keeps_serving() {
+        let seq = small_seq(1);
+        let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
+        let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
+        let mut ctx = prepared.build_solver_context().expect("context build failed");
+        let good = &seq.scans[0].intensity;
+
+        // One NaN and one infinite voxel on the reference grid: refused
+        // with the count, instead of labelling those voxels arbitrarily.
+        let mut bad = good.clone();
+        bad.data_mut()[1000] = f32::NAN;
+        bad.data_mut()[2000] = f32::INFINITY;
+        let err = prepared
+            .register_scan(&mut ctx, &bad, None, None, None)
+            .err()
+            .expect("a scan with non-finite voxels must be refused");
+        assert_eq!(err, Error::NonFiniteScan { voxels: 2 });
+        assert!(err.to_string().contains("2 non-finite"), "{err}");
+
+        // The rejection did not touch the context: the next valid scan
+        // solves cold-started as the first solve.
+        let reg = prepared
+            .register_scan(&mut ctx, good, None, None, None)
+            .expect("a valid scan after a rejection must register");
         assert_ne!(reg.status, ScanStatus::Degraded);
         assert_eq!(ctx.stats().solves, 1);
     }

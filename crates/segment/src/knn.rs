@@ -11,10 +11,15 @@
 //!
 //! The tree is stored structure-of-arrays: inner nodes are parallel
 //! `split_axis`/`split_val`/`left`/`right` vectors, and prototypes live
-//! in contiguous leaf blocks of up to [`LEAF_SIZE`] points. Each leaf
-//! block is *transposed* (dimension-major), so the distance from a query
-//! to every point in the leaf is accumulated one axis at a time over a
-//! contiguous `f32` run — a branchless loop the compiler vectorizes.
+//! in leaf blocks of up to [`LEAF_SIZE`] points. Each leaf block is
+//! *transposed* (dimension-major) and stored at a fixed stride of
+//! `LEAF_SIZE` slots per axis, zero-padded past the leaf's length, so
+//! leaf `j` starts at `j * LEAF_SIZE * dim` and every axis row has the
+//! same compile-time length. The distance from a query to every slot is
+//! accumulated one axis at a time into a stack `[f32; LEAF_SIZE]` — a
+//! branchless loop the compiler vectorizes. Only the leaf's first
+//! `leaf_len` slots are merged into the candidate list, by in-place
+//! insertion from the back; padded slots never reach it.
 //! Search is iterative over an explicit stack held in [`KnnScratch`];
 //! a warm query performs no allocation.
 //!
@@ -44,17 +49,15 @@ pub const LEAF_SIZE: usize = 32;
 /// High bit of a node reference marks it as a leaf id.
 const LEAF_FLAG: u32 = 1 << 31;
 
-/// Reusable per-thread query state: traversal stack, candidate list and
-/// leaf distance buffer. One scratch per worker thread turns the per-voxel
-/// k-NN query into a zero-allocation operation.
+/// Reusable per-thread query state: traversal stack and candidate list.
+/// One scratch per worker thread turns the per-voxel k-NN query into a
+/// zero-allocation operation.
 #[derive(Debug, Default)]
 pub struct KnnScratch {
     /// DFS stack of `(node ref, plane distance² at push time)`.
     stack: Vec<(u32, f32)>,
     /// Current best candidates, ascending by `(distance², prototype idx)`.
     best: Vec<(f32, u32)>,
-    /// Per-slot accumulated distances for the leaf being scanned.
-    dist: Vec<f32>,
     /// Leaf blocks scanned since construction (or the last reset);
     /// accumulates across queries so callers can report traversal cost.
     pub leaf_visits: u64,
@@ -87,15 +90,14 @@ pub struct KdTree {
     /// Child refs; `LEAF_FLAG` bit set ⇒ index into the leaf arrays.
     left: Vec<u32>,
     right: Vec<u32>,
-    /// Per-leaf start slot into `leaf_index` (slots are contiguous).
-    leaf_start: Vec<u32>,
     /// Per-leaf point count (≤ `LEAF_SIZE`).
     leaf_len: Vec<u32>,
-    /// Original prototype index per leaf slot.
+    /// Original prototype index per leaf slot, `LEAF_SIZE` slots per
+    /// leaf; slots past `leaf_len[j]` are padding and never read.
     leaf_index: Vec<u32>,
     /// Transposed (dimension-major) feature blocks, one per leaf: the
-    /// block for leaf `j` starts at `leaf_start[j] * dim` and holds
-    /// `leaf_len[j]` values per axis.
+    /// block for leaf `j` starts at `j * LEAF_SIZE * dim` and holds
+    /// `LEAF_SIZE` values per axis, zero past `leaf_len[j]`.
     leaf_feats: Vec<f32>,
     root: u32,
     fingerprint: u64,
@@ -142,7 +144,6 @@ impl KdTree {
             split_val: Vec::new(),
             left: Vec::new(),
             right: Vec::new(),
-            leaf_start: Vec::new(),
             leaf_len: Vec::new(),
             leaf_index: Vec::new(),
             leaf_feats: Vec::new(),
@@ -162,17 +163,19 @@ impl KdTree {
             // Leaf slots keep ascending original order: the layout of a
             // tree is then fully determined by the prototype list.
             order.sort_unstable();
-            let leaf = self.leaf_start.len() as u32;
-            let start = self.leaf_index.len();
-            self.leaf_start.push(start as u32);
+            // Every leaf and every axis row of its block is padded to the
+            // fixed stride of LEAF_SIZE slots.
+            let leaf = self.leaf_len.len();
             self.leaf_len.push(order.len() as u32);
             self.leaf_index.extend_from_slice(order);
+            self.leaf_index.resize((leaf + 1) * LEAF_SIZE, 0);
             for axis in 0..self.dim {
                 for &i in order.iter() {
                     self.leaf_feats.push(self.feats[i as usize * self.dim + axis]);
                 }
+                self.leaf_feats.resize((leaf * self.dim + axis + 1) * LEAF_SIZE, 0.0);
             }
-            return leaf | LEAF_FLAG;
+            return leaf as u32 | LEAF_FLAG;
         }
         // Split along the widest axis of this point set (ties → lowest
         // axis): splitting planes then separate where the data actually
@@ -298,38 +301,48 @@ impl KdTree {
         }
     }
 
-    /// Accumulate distances over one transposed leaf block and merge the
-    /// slots into the candidate list.
+    /// Accumulate distances over one transposed leaf block and merge its
+    /// occupied slots into the candidate list.
     fn scan_leaf(&self, leaf: usize, query: &[f32], k: usize, scratch: &mut KnnScratch) {
-        let start = self.leaf_start[leaf] as usize;
+        let start = leaf * LEAF_SIZE;
         let len = self.leaf_len[leaf] as usize;
-        let block = &self.leaf_feats[start * self.dim..start * self.dim + len * self.dim];
-        scratch.dist.clear();
-        scratch.dist.resize(len, 0.0);
-        // Dimension-major accumulation: each axis contributes a straight
-        // contiguous fused multiply-add pass over the block row.
-        for (axis, &q) in query.iter().enumerate() {
-            let row = &block[axis * len..(axis + 1) * len];
-            for (d, &v) in scratch.dist.iter_mut().zip(row) {
+        let block = &self.leaf_feats[start * self.dim..(start + LEAF_SIZE) * self.dim];
+        // Dimension-major accumulation: each axis contributes one
+        // fixed-length pass of `t = v - q; d += t * t` over its block row.
+        let mut dist = [0.0f32; LEAF_SIZE];
+        for (row, &q) in block.chunks_exact(LEAF_SIZE).zip(query) {
+            for (d, &v) in dist.iter_mut().zip(row) {
                 let t = v - q;
                 *d += t * t;
             }
         }
         scratch.leaf_visits += 1;
-        for slot in 0..len {
-            let d2 = scratch.dist[slot];
-            let idx = self.leaf_index[start + slot];
+        let best = &mut scratch.best;
+        for (&d2, &idx) in dist[..len].iter().zip(&self.leaf_index[start..start + len]) {
             // Fast reject on the common path: once the list is full, a
             // candidate ordered after the current k-th — strictly farther,
-            // or equal with a higher index — can never be inserted
-            // (`push_candidate` would land it at position `k`).
-            if scratch.best.len() == k {
-                let (kd, ki) = scratch.best[k - 1];
+            // or equal with a higher index — can never be inserted.
+            // Otherwise it takes the k-th entry's place (or a new one)
+            // and shifts down past every entry ordered after it.
+            let mut pos = best.len();
+            if pos == k {
+                let (kd, ki) = best[k - 1];
                 if d2 > kd || (d2 == kd && idx > ki) {
                     continue;
                 }
+                pos -= 1;
+            } else {
+                best.push((d2, idx));
             }
-            push_candidate(&mut scratch.best, k, d2, idx);
+            while pos > 0 {
+                let (pd, pi) = best[pos - 1];
+                if pd < d2 || (pd == d2 && pi < idx) {
+                    break;
+                }
+                best[pos] = best[pos - 1];
+                pos -= 1;
+            }
+            best[pos] = (d2, idx);
         }
     }
 
@@ -401,19 +414,6 @@ fn kth_d2(best: &[(f32, u32)]) -> f32 {
     }
 }
 
-/// Insert `(d2, idx)` into the ascending candidate list, keeping at most
-/// `k` entries ordered by `(distance², prototype index)`.
-#[inline]
-fn push_candidate(best: &mut Vec<(f32, u32)>, k: usize, d2: f32, idx: u32) {
-    let pos = best.partition_point(|&(d, i)| d < d2 || (d == d2 && i < idx));
-    if pos < k {
-        if best.len() == k {
-            best.pop();
-        }
-        best.insert(pos, (d2, idx));
-    }
-}
-
 /// FNV-1a over the training set's structure and bit patterns.
 fn fingerprint_of(dim: usize, labels: &[u8], feats: &[f32]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -473,19 +473,93 @@ mod tests {
             .collect()
     }
 
+    /// Integer-valued prototypes on a small lattice, every fifth one a
+    /// copy of an earlier prototype's features: squared distances are
+    /// exact in `f32` and distance ties are common.
+    fn lattice_protos(n: usize, dim: usize, seed: u64) -> Vec<Prototype> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut protos: Vec<Prototype> = Vec::with_capacity(n);
+        for i in 0..n {
+            let features = if i % 5 == 4 {
+                protos[rng.gen_range(0..i)].features.clone()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-4i32..=4) as f32).collect()
+            };
+            protos.push(Prototype { features, label: rng.gen_range(0u8..6) });
+        }
+        protos
+    }
+
+    /// `(distance² bits, index)` pairs: equality means bitwise-equal lists.
+    fn bits(nn: &[(f32, usize)]) -> Vec<(u32, usize)> {
+        nn.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
+    }
+
+    /// Majority label among the brute-force neighbours, lowest label id
+    /// winning count ties.
+    fn brute_vote(protos: &[Prototype], query: &[f32], k: usize) -> u8 {
+        let mut counts = [0u32; 256];
+        for (_, i) in k_nearest_brute(protos, query, k) {
+            counts[protos[i].label as usize] += 1;
+        }
+        let top = *counts.iter().max().unwrap();
+        counts.iter().position(|&c| c == top).unwrap() as u8
+    }
+
     #[test]
     fn kdtree_matches_brute_force_including_indices() {
-        let protos = random_protos(300, 4, 1);
-        let tree = KdTree::build(protos.clone()).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            let q: Vec<f32> = (0..4).map(|_| rng.gen_range(-12.0f32..12.0)).collect();
-            let fast = tree.k_nearest(&q, 5);
-            let brute = k_nearest_brute(&protos, &q, 5);
-            assert_eq!(fast.len(), brute.len());
-            for (f, b) in fast.iter().zip(&brute) {
-                assert!((f.0 - b.0).abs() < 1e-5, "distances differ: {} vs {}", f.0, b.0);
-                assert_eq!(f.1, b.1, "indices differ");
+        // Partial and full leaves, k above LEAF_SIZE, and k on both sides
+        // of the 16-neighbour switch to the histogram vote.
+        for n in [1usize, 31, 32, 33, 64, 65, 964] {
+            for dim in [1usize, 3, 9] {
+                let protos = lattice_protos(n, dim, (n * 16 + dim) as u64);
+                let tree = KdTree::build(protos.clone()).unwrap();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + 1000);
+                for query in 0..12 {
+                    // Half the queries sit on a prototype, half on the
+                    // half-integer lattice around the data.
+                    let q: Vec<f32> = if query % 2 == 0 {
+                        protos[rng.gen_range(0..n)].features.clone()
+                    } else {
+                        (0..dim).map(|_| rng.gen_range(-10i32..=10) as f32 * 0.5).collect()
+                    };
+                    for k in [1usize, 5, 16, 17, 40, n + 3] {
+                        let brute = k_nearest_brute(&protos, &q, k);
+                        assert_eq!(
+                            bits(&tree.k_nearest(&q, k)),
+                            bits(&brute),
+                            "n={n} dim={dim} k={k} q={q:?}"
+                        );
+                        assert_eq!(
+                            tree.classify(&q, k),
+                            brute_vote(&protos, &q, k),
+                            "vote: n={n} dim={dim} k={k} q={q:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_slots_never_reach_the_candidate_list() {
+        // Every prototype is at least 1000 from the origin and no n is a
+        // multiple of LEAF_SIZE, so some leaves are partial: a zero-padded
+        // slot would be the nearest point to a query at the origin.
+        let origin = [0.0f32; 3];
+        for n in [1usize, 33, 70, 100] {
+            assert_ne!(n % LEAF_SIZE, 0);
+            let protos: Vec<Prototype> = (0..n)
+                .map(|i| Prototype {
+                    features: vec![1000.0 + i as f32, 1000.0 + (i % 7) as f32, 2000.0],
+                    label: (i % 3) as u8,
+                })
+                .collect();
+            let tree = KdTree::build(protos.clone()).unwrap();
+            for k in [1usize, 5, LEAF_SIZE, n + 3] {
+                let nn = tree.k_nearest(&origin, k);
+                assert!(nn.iter().all(|&(_, i)| i < n), "padded slot returned: n={n} k={k}");
+                assert_eq!(bits(&nn), bits(&k_nearest_brute(&protos, &origin, k)), "n={n} k={k}");
             }
         }
     }

@@ -359,3 +359,36 @@ fn off_grid_scan_is_a_typed_error_and_the_worker_keeps_serving() {
     assert_eq!(st.completed, 3);
     service.shutdown();
 }
+
+#[test]
+fn non_finite_scan_is_a_typed_error_and_the_worker_keeps_serving() {
+    use brainshift_core::Error as CoreError;
+    use brainshift_service::ServiceError;
+
+    let seq = small_seq(1, 8.0);
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let s = service.open_session(prepared(&seq));
+    let deadline = Duration::from_secs(300);
+    let submit = |intensity| {
+        let job = ScanJob { session: s, intensity, priority: 0, deadline };
+        service.submit(job).expect("admit").wait()
+    };
+
+    // A scan on the reference grid with one NaN voxel is refused with
+    // the typed error instead of being classified arbitrarily.
+    let good = &seq.scans[0].intensity;
+    let mut bad = good.clone();
+    bad.data_mut()[777] = f32::NAN;
+    match submit(bad) {
+        Err(ServiceError::Pipeline(CoreError::NonFiniteScan { voxels })) => assert_eq!(voxels, 1),
+        other => panic!("expected a non-finite-scan error, got {:?}", other.map(|o| o.job)),
+    }
+
+    // The single worker survived it and serves the next valid scan.
+    let out = submit(good.clone()).expect("valid scan after the rejection");
+    assert_eq!(out.worker, 0);
+    assert_ne!(out.status, ScanStatus::Degraded);
+    let st = service.session_stats(s).expect("session exists");
+    assert_eq!(st.completed, 2);
+    service.shutdown();
+}
